@@ -116,14 +116,33 @@ let to_day_set (ctx : Context.t) fine set =
              (Unit_system.index_of_instant ~epoch:ctx.Context.epoch Granularity.Days hi_instant)))
       set
 
-(** Evaluate a calendar expression source to its day chronons. *)
-let resolve_days ctx source =
+(* A calendar expression source's day chronons as coalesced segments,
+   through the resolved-day memo: keyed by the canonical expression,
+   invalidated through the names {!Canon.deps} reports. Expressions that
+   mention [today] (or an unbound name) have no deps and are evaluated
+   every time, so [advance] never serves a stale set. *)
+let resolve_segments (ctx : Context.t) source =
   match Parser.expr source with
   | Error e -> raise (Session_error (Printf.sprintf "bad calendar expression %S: %s" source e))
-  | Ok expr ->
-    let cal, _ = Interp.eval_expr_planned ctx expr in
-    let fine = Gran.finest_of_expr ctx.Context.env expr in
-    Interval_set.coalesce (to_day_set ctx fine (Calendar.flatten cal))
+  | Ok expr -> (
+    let eval () =
+      let cal, _ = Interp.eval_expr_planned ctx expr in
+      let fine = Gran.finest_of_expr ctx.env expr in
+      Interval_set.segments (to_day_set ctx fine (Calendar.flatten cal))
+    in
+    match Canon.deps ctx.env expr with
+    | None -> eval ()
+    | Some deps -> (
+      let key = Canon.to_string (Canon.canon expr) in
+      match Cal_cache.find ctx.resolved key with
+      | Some segs -> segs
+      | None ->
+        let segs = eval () in
+        Cal_cache.add ctx.resolved ~key ~deps segs;
+        segs))
+
+(** Evaluate a calendar expression source to its day chronons. *)
+let resolve_days ctx source = Interval_set.of_segments (resolve_segments ctx source)
 
 let date_of_value ~epoch = function
   | Value.Chronon c -> Unit_system.date_of_chronon ~epoch Granularity.Days c
@@ -175,7 +194,7 @@ let register_date_operators (ctx : Context.t) catalog =
 let register_calendar_operators ctx catalog =
   Catalog.register_operator catalog ~name:"calendar_contains" ~arity:2 (function
     | [ Value.Text source; Value.Chronon c ] ->
-      Value.Bool (Interval_set.contains_chronon (resolve_days ctx source) c)
+      Value.Bool (Interval_set.segments_contain (resolve_segments ctx source) c)
     | _ -> Value.Null);
   Catalog.register_operator catalog ~name:"calendar_value" ~arity:1 (function
     | [ Value.Text source ] -> (

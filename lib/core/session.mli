@@ -95,7 +95,9 @@ val eval_calendar : t -> string -> (Calendar.t, string) result
 val eval : t -> string -> (Interp.value, string) result
 
 (** Evaluate a calendar expression to the day chronons it covers (what
-    the [on]-clause resolver uses). @raise Session_error on bad input. *)
+    the [on]-clause resolver uses), coalesced. Memoized in the context's
+    resolved-day memo unless the expression depends on [today].
+    @raise Session_error on bad input. *)
 val resolve_days : Context.t -> string -> Interval_set.t
 
 (** {2 Queries and rules} *)

@@ -354,43 +354,61 @@ let range t ?lo ?hi f =
   in
   go t.root
 
-(* [range_merge t ivals f] sweeps several inclusive ranges in one in-order
-   traversal. [ivals] must be sorted by lower bound and pairwise disjoint
-   (the coalesced form of a calendar's interval set). A cursor over the
-   interval array advances monotonically as keys stream past, and whole
-   subtrees are skipped when the current interval starts beyond their key
-   span — a single sweep replaces one [range] probe per interval. *)
-let range_merge t (ivals : (Value.t * Value.t) array) f =
-  let n = Array.length ivals in
-  if n > 0 then begin
-    let idx = ref 0 in
-    (* Drop intervals ending before [k]; in-order traversal guarantees
-       they can never contain a later key. *)
-    let advance k = while !idx < n && Value.compare (snd ivals.(!idx)) k < 0 do incr idx done in
-    let visit k vals =
-      advance k;
-      if !idx < n && Value.compare (fst ivals.(!idx)) k <= 0 then f k vals
-    in
-    let rec go node =
-      if !idx < n then
-        if is_leaf node then
-          for i = 0 to node.nkeys - 1 do
-            if !idx < n then visit node.keys.(i) node.vals.(i)
-          done
+(* [range_merge t segs f] sweeps several inclusive chronon ranges in one
+   in-order traversal. [segs] is a flat [lo0; hi0; lo1; hi1; ...] array
+   sorted by lower bound and pairwise disjoint (a calendar's coalesced
+   {!Interval_set.segments}). A cursor over the ranges advances
+   monotonically as keys stream past; whenever a key falls short of the
+   current range, a binary search jumps to the first key of the node at
+   or after the range's start, skipping the keys and subtrees in between
+   — a single sweep replaces one [range] probe per range, and touches
+   only the keys it reports plus O(log) per range and node. Keys compare
+   against the bounds unboxed; keys that are not chronons fall outside
+   every range. *)
+let range_merge t (segs : int array) f =
+  let n = Array.length segs / 2 in
+  let idx = ref 0 in
+  (* [Value.compare k (Chronon c)], without boxing [c] for the chronon
+     keys that make up the sweep's inner loop. *)
+  let cmp k c =
+    match k with Value.Chronon x -> compare (x : int) c | k -> Value.compare k (Value.Chronon c)
+  in
+  (* First slot of [node] at or after [from] whose key is >= chronon [c]. *)
+  let seek node from c =
+    let lo = ref from and hi = ref node.nkeys in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if cmp node.keys.(mid) c < 0 then lo := mid + 1 else hi := mid
+    done;
+    !lo
+  in
+  let rec go node =
+    if !idx < n then begin
+      let leaf = is_leaf node in
+      let i = ref (seek node 0 segs.(2 * !idx)) in
+      (* Slot [i] stands for child [i] (keys between keys.(i-1) and
+         keys.(i)), then key [i]. *)
+      while !idx < n && !i <= node.nkeys do
+        if not leaf then go node.children.(!i);
+        if !i = node.nkeys || !idx >= n then incr i
         else begin
-          for i = 0 to node.nkeys - 1 do
-            if !idx < n then begin
-              (* Child i holds only keys < keys.(i): skip it when the
-                 current interval starts at or after that separator. *)
-              if Value.compare (fst ivals.(!idx)) node.keys.(i) < 0 then go node.children.(i);
-              if !idx < n then visit node.keys.(i) node.vals.(i)
-            end
+          let k = node.keys.(!i) in
+          (* Drop ranges ending before [k]; in-order traversal guarantees
+             they can never contain a later key. *)
+          while !idx < n && cmp k segs.((2 * !idx) + 1) > 0 do
+            incr idx
           done;
-          if !idx < n then go node.children.(node.nkeys)
+          if !idx < n then
+            if cmp k segs.(2 * !idx) >= 0 then begin
+              f k node.vals.(!i);
+              incr i
+            end
+            else i := seek node (!i + 1) segs.(2 * !idx)
         end
-    in
-    go t.root
-  end
+      done
+    end
+  in
+  go t.root
 
 let cardinal t = t.cardinal
 

@@ -34,12 +34,13 @@ val mem : t -> Value.t -> bool
     optional) in ascending order. *)
 val range : t -> ?lo:Value.t -> ?hi:Value.t -> (Value.t -> int list -> unit) -> unit
 
-(** [range_merge t ivals f] visits, in one in-order sweep, every key
-    falling in any of the inclusive [(lo, hi)] ranges of [ivals], which
-    must be sorted by lower bound and pairwise disjoint (a coalesced
-    interval set). Subtrees outside every remaining range are skipped, so
-    the sweep replaces one {!range} probe per interval. *)
-val range_merge : t -> (Value.t * Value.t) array -> (Value.t -> int list -> unit) -> unit
+(** [range_merge t segs f] visits, in one in-order sweep, every key
+    [Chronon c] with [c] in any of the inclusive chronon ranges of
+    [segs], a flat [[|lo0; hi0; lo1; hi1; ...|]] array sorted by lower
+    bound and pairwise disjoint (a coalesced {!Interval_set.segments}).
+    Subtrees outside every remaining range are skipped, so the sweep
+    replaces one {!range} probe per range. *)
+val range_merge : t -> int array -> (Value.t -> int list -> unit) -> unit
 
 (** In-order traversal of every key. *)
 val iter : t -> (Value.t -> int list -> unit) -> unit

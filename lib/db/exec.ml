@@ -446,11 +446,50 @@ let run_interpreted catalog ~outer ~stats ~force_seq (q : Qast.query) : result =
 module Pool = Cal_parallel.Pool
 
 (* Sorted, duplicate-free rowid array — the candidate-set representation
-   intersections merge over. *)
-(* List.sort_uniq beats sorting in place here: the candidate lists come
-   straight off the B-tree as cons cells, and the bottom-up list merge
-   outruns Array.sort's closure-calling heapsort on them by ~3x. *)
-let sorted_rowid_array rowids = Array.of_list (List.sort_uniq Int.compare rowids)
+   intersections merge over. Sorts [a] in place (callers pass a fresh
+   array) and drops repeats. Rowids are non-negative, so an LSD radix
+   sort over bytes, as many passes as the largest rowid needs, orders
+   them in O(n) with no comparison closures. *)
+let sort_rowids (a : int array) =
+  let n = Array.length a in
+  let top = ref 0 in
+  for i = 0 to n - 1 do
+    if a.(i) > !top then top := a.(i)
+  done;
+  let src = ref a and dst = ref (Array.make n 0) in
+  (* 256 words: small enough for the minor heap *)
+  let count = Array.make 256 0 and shift = ref 0 in
+  while !shift < Sys.int_size && !top lsr !shift > 0 do
+    let s = !src and d = !dst and sh = !shift in
+    Array.fill count 0 256 0;
+    for i = 0 to n - 1 do
+      let b = (s.(i) lsr sh) land 255 in
+      count.(b) <- count.(b) + 1
+    done;
+    (* bucket counts -> first output slot of each bucket *)
+    let start = ref 0 in
+    for b = 0 to 255 do
+      let c = count.(b) in
+      count.(b) <- !start;
+      start := !start + c
+    done;
+    for i = 0 to n - 1 do
+      let b = (s.(i) lsr sh) land 255 in
+      d.(count.(b)) <- s.(i);
+      count.(b) <- count.(b) + 1
+    done;
+    src := d;
+    dst := s;
+    shift := sh + 8
+  done;
+  let s = !src and k = ref 0 in
+  for i = 0 to n - 1 do
+    if !k = 0 || s.(i) <> s.(!k - 1) then begin
+      s.(!k) <- s.(i);
+      incr k
+    end
+  done;
+  if !k = n then s else Array.sub s 0 !k
 
 (* O(n+m) sorted-array intersection (the Interval_set merge idiom). *)
 let inter_sorted a b =
@@ -530,7 +569,7 @@ let run_probes ~stats tbl params (probes : Qplan.probe list) : int array option 
         | Qplan.Ple -> Table.index_range tbl p.Qplan.pcol ~hi:v ()
         | Qplan.Pge -> Table.index_range tbl p.Qplan.pcol ~lo:v ()
       in
-      sorted_rowid_array (Option.value ~default:[] rowids)
+      sort_rowids (Array.of_list (Option.value ~default:[] rowids))
     in
     match ranked with
     | (best, p0, v0) :: rest when best < nrows || p0.Qplan.pop = Qplan.Peq ->
@@ -546,17 +585,13 @@ let run_probes ~stats tbl params (probes : Qplan.probe list) : int array option 
       None)
 
 (* The whole on-calendar clause in one merged B-tree sweep over the
-   coalesced interval set. *)
+   set's coalesced segments (shared with the resolved-day memo, so a warm
+   calendar is neither re-coalesced nor copied). *)
 let merged_calendar_candidates ~stats tbl col set =
   if not (Table.has_index tbl col) then None
   else begin
-    let ivals =
-      Array.map
-        (fun iv -> (Value.Chronon (Interval.lo iv), Value.Chronon (Interval.hi iv)))
-        (Interval_set.to_array (Interval_set.coalesce set))
-    in
     stats.index_probes <- stats.index_probes + 1;
-    Option.map sorted_rowid_array (Table.index_merge tbl col ivals)
+    Option.map sort_rowids (Table.index_merge tbl col (Interval_set.segments set))
   end
 
 (* Sequential scans over at least this many row slots are eligible for
@@ -588,26 +623,30 @@ let scan_rowids catalog ~stats ~force_seq ~domains ~params ~outer_env (scan : Qp
     int list =
   let tbl = plan_table catalog scan.Qplan.stable in
   let chronons = Option.map (resolve_calendar catalog) scan.Qplan.scal in
-  let candidates =
-    if force_seq then None
+  let from_where, from_cal =
+    if force_seq then (None, None)
     else
       let from_where = run_probes ~stats tbl params scan.Qplan.sprobes in
-      let from_cal =
+      ( from_where,
         match (chronons, scan.Qplan.svalid_col) with
         | Some set, Some col -> merged_calendar_candidates ~stats tbl col set
-        | _ -> None
-      in
-      match (from_where, from_cal) with
-      | Some a, Some b -> Some (inter_sorted a b)
-      | (Some _ as x), None | None, (Some _ as x) -> x
-      | None, None -> None
+        | _ -> None )
   in
+  let candidates =
+    match (from_where, from_cal) with
+    | Some a, Some b -> Some (inter_sorted a b)
+    | (Some _ as x), None | None, (Some _ as x) -> x
+    | None, None -> None
+  in
+  (* The calendar sweep is exact: rows it yields hold a chronon inside
+     the calendar, so only rows it did not choose need the check. *)
+  let cal_check = if Option.is_some from_cal then None else chronons in
   let where_pred = Option.map (Qcompile.as_predicate ~fail:where_not_boolean) scan.Qplan.swhere in
   (* Pure w.r.t. [stats]; counting is the caller's business. *)
   let passes tuple =
     (match where_pred with None -> true | Some p -> p params outer_env tuple)
     &&
-    match (chronons, scan.Qplan.svalid_ix) with
+    match (cal_check, scan.Qplan.svalid_ix) with
     | Some set, Some vi -> (
       match tuple.(vi) with
       | Value.Chronon c -> Interval_set.contains_chronon set c
@@ -618,14 +657,16 @@ let scan_rowids catalog ~stats ~force_seq ~domains ~params ~outer_env (scan : Qp
   match candidates with
   | Some rowids ->
     stats.index_scans <- stats.index_scans + 1;
-    List.filter
+    let hits = ref [] in
+    Array.iter
       (fun rowid ->
         match Table.get tbl rowid with
         | Some t ->
           stats.scanned <- stats.scanned + 1;
-          passes t
-        | None -> false)
-      (Array.to_list rowids)
+          if passes t then hits := rowid :: !hits
+        | None -> ())
+      rowids;
+    List.rev !hits
   | None -> (
     stats.seq_scans <- stats.seq_scans + 1;
     let pool = Pool.default () in

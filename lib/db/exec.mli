@@ -118,3 +118,8 @@ val read_is_pure : Qast.query -> bool
     because concurrent readers get their parallelism from fanning
     queries across lanes, not from partitioning one scan. *)
 val run_read : Catalog.t -> ?stats:stats -> ?domains:int -> string -> (result, string) Stdlib.result
+
+(** [sort_rowids a] — the ascending, duplicate-free candidate array the
+    access paths intersect and scan. Sorts [a] in place and may return
+    [a] itself; rowids must be non-negative. *)
+val sort_rowids : int array -> int array

@@ -114,10 +114,14 @@ let index_range t col ?lo ?hi () =
 
 (** Row ids with [col] in any of the sorted disjoint inclusive ranges,
     via one merged index sweep, unordered. *)
-let index_merge t col ivals =
+let index_merge t col segs =
   match index t col with
   | None -> None
   | Some idx ->
-    let acc = ref [] in
-    Btree.range_merge idx ivals (fun _ rowids -> acc := List.rev_append rowids !acc);
-    Some !acc
+    let groups = ref [] and n = ref 0 in
+    Btree.range_merge idx segs (fun _ rowids ->
+        groups := rowids :: !groups;
+        n := !n + List.length rowids);
+    let out = Array.make !n 0 and i = ref 0 in
+    List.iter (List.iter (fun r -> out.(!i) <- r; incr i)) !groups;
+    Some out

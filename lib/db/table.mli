@@ -59,7 +59,7 @@ val index_lookup : t -> string -> Value.t -> int list option
 (** Row ids with [lo <= col <= hi], via the index, unordered. *)
 val index_range : t -> string -> ?lo:Value.t -> ?hi:Value.t -> unit -> int list option
 
-(** Row ids with [col] in any of the given inclusive ranges — which must
-    be sorted by lower bound and pairwise disjoint — via a single
+(** Row ids, unordered, with [col] a chronon in any of the ranges of a
+    coalesced {!Interval_set.segments} array, via a single
     {!Btree.range_merge} sweep. [None] when the column is unindexed. *)
-val index_merge : t -> string -> (Value.t * Value.t) array -> int list option
+val index_merge : t -> string -> int array -> int array option

@@ -7,18 +7,18 @@
    not enough for containment — but the prefix maximum is monotone, which
    makes [contains_chronon], [restrict] and [clip] binary-searchable.
 
-   The coalesced pointwise form (disjoint, non-adjacent segments in
-   0-based offset space) is computed at most once per set and cached in a
-   mutable field; the set itself is immutable. All set algebra is a
+   The coalesced pointwise form (disjoint, non-adjacent segments stored
+   flat, two words a range) is computed at most once per set and cached
+   in a mutable field; the set itself is immutable. All set algebra is a
    single merge pass over the already-sorted inputs. *)
 
 type t = {
   arr : Interval.t array;
   max_hi : Chronon.t array;  (* prefix maximum of hi *)
-  mutable coalesced : (int * int) array option;  (* offset space, lazy *)
+  mutable segs : int array option;  (* coalesced form, lazy *)
 }
 
-let empty = { arr = [||]; max_hi = [||]; coalesced = Some [||] }
+let empty = { arr = [||]; max_hi = [||]; segs = Some [||] }
 
 (* [arr] must be sorted by Interval.compare with no duplicates. *)
 let of_sorted_array_unsafe arr =
@@ -31,7 +31,7 @@ let of_sorted_array_unsafe arr =
       running := Chronon.max !running (Interval.hi arr.(i));
       max_hi.(i) <- !running
     done;
-    { arr; max_hi; coalesced = None }
+    { arr; max_hi; segs = None }
   end
 
 let is_empty t = Array.length t.arr = 0
@@ -198,138 +198,126 @@ let equal a b =
 
 (* --- pointwise (chronon-set) algebra -------------------------------- *)
 
+(* Segment buffers hold disjoint, sorted, non-adjacent chronon ranges
+   flat, [lo0; hi0; lo1; hi1; ...]: two words a range. [push_seg buf k
+   lo hi] appends [(lo, hi)] to a buffer holding [k] segments, merging it
+   into the last one when they overlap or touch, and returns the new
+   count. Segments must arrive sorted by [lo]. Adjacency is tested in
+   offset space, which has no hole (chronon 0 does not exist). *)
+let push_seg buf k lo hi =
+  if k > 0 && Chronon.to_offset lo <= Chronon.to_offset buf.((2 * k) - 1) + 1 then begin
+    if Chronon.compare hi buf.((2 * k) - 1) > 0 then buf.((2 * k) - 1) <- hi;
+    k
+  end
+  else begin
+    buf.(2 * k) <- lo;
+    buf.((2 * k) + 1) <- hi;
+    k + 1
+  end
+
+let trim buf k = if 2 * k = Array.length buf then buf else Array.sub buf 0 (2 * k)
+
 (* The coalesced form: members are already sorted by (lo, hi), so merging
-   overlapping or adjacent members is one forward pass in offset space
-   (offsets are hole-free: chronon 0 does not exist, offsets do). *)
-let coalesced t =
-  match t.coalesced with
-  | Some c -> c
+   overlapping or adjacent members is one forward pass. *)
+let segments t =
+  match t.segs with
+  | Some s -> s
   | None ->
-    let n = Array.length t.arr in
-    let buf = Array.make n (0, 0) in
+    let buf = Array.make (2 * Array.length t.arr) 0 in
     let k = ref 0 in
-    for i = 0 to n - 1 do
-      let lo = Chronon.to_offset (Interval.lo t.arr.(i))
-      and hi = Chronon.to_offset (Interval.hi t.arr.(i)) in
-      if !k > 0 then begin
-        let plo, phi = buf.(!k - 1) in
-        if lo <= phi + 1 then buf.(!k - 1) <- (plo, max phi hi)
-        else begin
-          buf.(!k) <- (lo, hi);
-          incr k
-        end
-      end
-      else begin
-        buf.(!k) <- (lo, hi);
-        incr k
-      end
-    done;
-    let c = if !k = n then buf else Array.sub buf 0 !k in
-    t.coalesced <- Some c;
-    c
+    Array.iter (fun iv -> k := push_seg buf !k (Interval.lo iv) (Interval.hi iv)) t.arr;
+    let s = trim buf !k in
+    t.segs <- Some s;
+    s
 
 (* Disjoint sorted non-adjacent segments are sorted and unique as
-   intervals, and are their own coalesced form. *)
-let of_coalesced_offsets c =
-  if Array.length c = 0 then empty
+   intervals, and are their own coalesced form; the array is shared. *)
+let of_segments s =
+  if Array.length s = 0 then empty
   else begin
     let t =
       of_sorted_array_unsafe
-        (Array.map
-           (fun (lo, hi) -> Interval.make (Chronon.of_offset lo) (Chronon.of_offset hi))
-           c)
+        (Array.init (Array.length s / 2) (fun i -> Interval.make s.(2 * i) s.((2 * i) + 1)))
     in
-    t.coalesced <- Some c;
+    t.segs <- Some s;
     t
   end
 
-let coalesce t = of_coalesced_offsets (coalesced t)
+let segments_contain s c =
+  (* Last segment starting at or before [c], then one comparison. *)
+  let lo = ref 0 and hi = ref (Array.length s / 2) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if Chronon.compare s.(2 * mid) c <= 0 then lo := mid + 1 else hi := mid
+  done;
+  !lo > 0 && Chronon.compare c s.((2 * !lo) - 1) <= 0
+
+(* A set whose coalesced form has as many segments as it has members
+   merged nothing, so it already is that form. *)
+let coalesce t =
+  let s = segments t in
+  if Array.length s = 2 * Array.length t.arr then t else of_segments s
 
 let pointwise_union a b =
-  let ca = coalesced a and cb = coalesced b in
-  let na = Array.length ca and nb = Array.length cb in
+  let ca = segments a and cb = segments b in
+  let na = Array.length ca / 2 and nb = Array.length cb / 2 in
   if na = 0 then coalesce b
   else if nb = 0 then coalesce a
   else begin
-    let out = Array.make (na + nb) (0, 0) in
-    let k = ref 0 in
-    let push ((lo, hi) as seg) =
-      if !k > 0 then begin
-        let plo, phi = out.(!k - 1) in
-        if lo <= phi + 1 then out.(!k - 1) <- (plo, max phi hi)
-        else begin
-          out.(!k) <- seg;
-          incr k
-        end
-      end
-      else begin
-        out.(!k) <- seg;
-        incr k
-      end
-    in
-    let i = ref 0 and j = ref 0 in
+    let out = Array.make (2 * (na + nb)) 0 in
+    let k = ref 0 and i = ref 0 and j = ref 0 in
     while !i < na || !j < nb do
-      if !j >= nb || (!i < na && fst ca.(!i) <= fst cb.(!j)) then begin
-        push ca.(!i);
+      if !j >= nb || (!i < na && Chronon.compare ca.(2 * !i) cb.(2 * !j) <= 0) then begin
+        k := push_seg out !k ca.(2 * !i) ca.((2 * !i) + 1);
         incr i
       end
       else begin
-        push cb.(!j);
+        k := push_seg out !k cb.(2 * !j) cb.((2 * !j) + 1);
         incr j
       end
     done;
-    of_coalesced_offsets (Array.sub out 0 !k)
+    of_segments (trim out !k)
   end
 
 let pointwise_inter a b =
-  let ca = coalesced a and cb = coalesced b in
-  let na = Array.length ca and nb = Array.length cb in
-  let buf = ref [] and count = ref 0 in
-  let i = ref 0 and j = ref 0 in
+  let ca = segments a and cb = segments b in
+  let na = Array.length ca / 2 and nb = Array.length cb / 2 in
+  let out = Array.make (2 * (na + nb)) 0 in
+  let k = ref 0 and i = ref 0 and j = ref 0 in
   while !i < na && !j < nb do
-    let alo, ahi = ca.(!i) and blo, bhi = cb.(!j) in
-    let lo = max alo blo and hi = min ahi bhi in
-    if lo <= hi then begin
-      buf := (lo, hi) :: !buf;
-      incr count
-    end;
-    if ahi <= bhi then incr i else incr j
+    let ahi = ca.((2 * !i) + 1) and bhi = cb.((2 * !j) + 1) in
+    let lo = Chronon.max ca.(2 * !i) cb.(2 * !j) and hi = Chronon.min ahi bhi in
+    if Chronon.compare lo hi <= 0 then k := push_seg out !k lo hi;
+    if Chronon.compare ahi bhi <= 0 then incr i else incr j
   done;
-  let out = Array.make !count (0, 0) in
-  List.iteri (fun idx seg -> out.(!count - 1 - idx) <- seg) !buf;
-  of_coalesced_offsets out
+  of_segments (trim out !k)
 
 let pointwise_diff a b =
-  let ca = coalesced a and cb = coalesced b in
-  let na = Array.length ca and nb = Array.length cb in
-  let buf = ref [] and count = ref 0 in
-  let emit seg =
-    buf := seg :: !buf;
-    incr count
-  in
-  let j = ref 0 in
+  let ca = segments a and cb = segments b in
+  let na = Array.length ca / 2 and nb = Array.length cb / 2 in
+  let out = Array.make (2 * (na + nb)) 0 in
+  let k = ref 0 and j = ref 0 in
+  let emit lo hi = k := push_seg out !k lo hi in
   for i = 0 to na - 1 do
-    let alo, ahi = ca.(i) in
+    let alo = ca.(2 * i) and ahi = ca.((2 * i) + 1) in
     let cur = ref alo in
     let continue = ref true in
     while !continue do
       (* b-segments ending before [cur] cannot affect this or any later
          a-segment ([cur] only grows, a-segments are sorted). *)
-      while !j < nb && snd cb.(!j) < !cur do incr j done;
-      if !j >= nb || fst cb.(!j) > ahi then begin
-        if !cur <= ahi then emit (!cur, ahi);
+      while !j < nb && Chronon.compare cb.((2 * !j) + 1) !cur < 0 do incr j done;
+      if !j >= nb || Chronon.compare cb.(2 * !j) ahi > 0 then begin
+        if Chronon.compare !cur ahi <= 0 then emit !cur ahi;
         continue := false
       end
       else begin
-        let blo, bhi = cb.(!j) in
-        if blo > !cur then emit (!cur, blo - 1);
-        if bhi >= ahi then continue := false else cur := bhi + 1
+        let blo = cb.(2 * !j) and bhi = cb.((2 * !j) + 1) in
+        if Chronon.compare blo !cur > 0 then emit !cur (Chronon.pred blo);
+        if Chronon.compare bhi ahi >= 0 then continue := false else cur := Chronon.succ bhi
       end
     done
   done;
-  let out = Array.make !count (0, 0) in
-  List.iteri (fun idx seg -> out.(!count - 1 - idx) <- seg) !buf;
-  of_coalesced_offsets out
+  of_segments (trim out !k)
 
 (* --- windowing ------------------------------------------------------ *)
 

@@ -81,8 +81,24 @@ val equal : t -> t -> bool
 
 (** {2 Pointwise (chronon-set) algebra} — results are coalesced. *)
 
-(** [coalesce t] merges overlapping or adjacent intervals. *)
+(** [coalesce t] merges overlapping or adjacent intervals. O(1) once the
+    coalesced form is known and [t] already is it. *)
 val coalesce : t -> t
+
+(** [segments t] is the coalesced form as a flat array
+    [[|lo0; hi0; lo1; hi1; ...|]] of disjoint, sorted, non-adjacent
+    chronon ranges — two words a range. Computed at most once per set;
+    the array is shared, so callers must not mutate it. *)
+val segments : t -> int array
+
+(** [of_segments s] is the set whose members are the ranges of [s], which
+    must be a valid {!segments} array; [s] is shared, not copied, and
+    becomes the result's coalesced form. *)
+val of_segments : int array -> t
+
+(** [segments_contain s c] — does some range of the {!segments} array [s]
+    contain [c]? O(log n), no allocation. *)
+val segments_contain : int array -> Chronon.t -> bool
 
 val pointwise_union : t -> t -> t
 val pointwise_inter : t -> t -> t

@@ -9,6 +9,9 @@ type t = {
   max_intervals : int;
   fuel : int;  (** iteration bound for script [while] loops *)
   cache : Calendar.t Cal_cache.t;
+  resolved : int array Cal_cache.t;
+      (** resolved-day memo: canonical expression -> coalesced day
+          {!Interval_set.segments} *)
 }
 
 let create ?(epoch = Unit_system.default_epoch) ?lifespan ?clock
@@ -23,10 +26,13 @@ let create ?(epoch = Unit_system.default_epoch) ?lifespan ?clock
   in
   let env = match env with Some e -> e | None -> Env.create () in
   let cache = Cal_cache.create ~capacity:cache_capacity () in
-  (* Rebinding a calendar name drops every cached materialization that
-     was derived from it. *)
-  Env.on_change env (fun name -> ignore (Cal_cache.invalidate_dep cache name));
-  { env; epoch; lifespan; clock; max_intervals; fuel; cache }
+  let resolved = Cal_cache.create ~capacity:cache_capacity () in
+  (* Rebinding a calendar name drops every cached materialization and
+     resolved day set that was derived from it. *)
+  Env.on_change env (fun name ->
+      ignore (Cal_cache.invalidate_dep cache name);
+      ignore (Cal_cache.invalidate_dep resolved name));
+  { env; epoch; lifespan; clock; max_intervals; fuel; cache; resolved }
 
 (** A transient view of [t] whose materializations go through [cache]
     instead of the session cache. No env-change hook is registered: the

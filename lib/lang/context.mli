@@ -11,13 +11,18 @@ type t = {
   cache : Calendar.t Cal_cache.t;
       (** materialization cache shared by every evaluation strategy;
           capacity 0 (the default) disables it *)
+  resolved : int array Cal_cache.t;
+      (** resolved-day memo: a whole expression's day chronons, keyed by
+          its canonical form and stored as coalesced
+          {!Interval_set.segments} (two words a range); same capacity as
+          [cache] *)
 }
 
 (** Defaults: epoch Jan 1 1987 (the paper's system start date), a 40-year
     lifespan from the epoch year, no clock, 1M-interval generation guard,
-    10k loop fuel, cache disabled ([cache_capacity] 0). Rebinding or
-    removing a name in [env] invalidates the cache entries that depend on
-    it. *)
+    10k loop fuel, cache and resolved-day memo disabled
+    ([cache_capacity] 0). Rebinding or removing a name in [env]
+    invalidates the entries of both that depend on it. *)
 val create :
   ?epoch:Civil.date ->
   ?lifespan:Civil.date * Civil.date ->

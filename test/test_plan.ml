@@ -218,6 +218,69 @@ let on_cal_differential =
       | Error _, Error _, Error _ -> true
       | _ -> false)
 
+(* On-clause access paths. The compiled engine trusts the calendar
+   sweep (an indexed valid-time column) and skips its per-row calendar
+   check; every other path keeps the check. Vary what is indexed, mix a
+   where clause (often an indexed probe intersected with the sweep), put
+   NULL and negative chronons in the valid-time column and hand over an
+   uncoalesced calendar; compiled reads must match the forced scan and
+   the interpreter row for row. *)
+let access_row_gen =
+  QCheck2.Gen.(
+    quad (int_range (-3) 9)
+      (map (fun i -> float_of_int i /. 2.) (int_range (-10) 10))
+      (oneof [ map Option.some (int_range 1 60); map Option.some (int_range (-8) (-1)); return None ])
+      (oneofl [ "x"; "y"; "z" ]))
+
+let on_cal_access_paths =
+  QCheck2.Test.make ~name:"on-calendar access paths: compiled = forced seq = interpreted"
+    ~count:300
+    ~print:(fun ((rows, ix_k, ix_d), (raw, where)) ->
+      Printf.sprintf "%d rows (%d NULL); index k %b d %b; cal %s; where %s" (List.length rows)
+        (List.length (List.filter (fun (_, _, d, _) -> d = None) rows))
+        ix_k ix_d
+        (String.concat "," (List.map (fun (lo, hi) -> Printf.sprintf "(%d,%d)" lo hi) raw))
+        (print_where where))
+    QCheck2.Gen.(
+      pair
+        (triple (list_size (int_range 0 60) access_row_gen) bool bool)
+        (pair
+           (list_size (int_range 0 6)
+              (map2
+                 (fun lo w -> (lo, if lo < 0 && lo + w >= 0 then lo + w + 1 else lo + w))
+                 (oneof [ int_range 1 60; int_range (-8) (-1) ])
+                 (int_range 0 8)))
+           where_gen))
+    (fun ((rows, ix_k, ix_d), (raw, where)) ->
+      let cat = build_catalog ~index:false [] in
+      let tbl = Catalog.table cat "t" in
+      List.iter
+        (fun (k, v, d, s) ->
+          let d = match d with Some c -> Value.Chronon c | None -> Value.Null in
+          ignore (Table.insert tbl [| Value.Int k; Value.Float v; d; Value.Text s |]))
+        rows;
+      if ix_k then Catalog.create_index cat "t" "k";
+      if ix_d then Catalog.create_index cat "t" "d";
+      Catalog.set_calendar_resolver cat (fun _ -> Interval_set.of_pairs raw);
+      let q =
+        Qast.Retrieve
+          {
+            targets = [ ("d", Qexpr.Col "d"); ("k", Qexpr.Col "k"); ("s", Qexpr.Col "s") ];
+            from_ = Some "t";
+            where;
+            on_cal = Some "CAL";
+            group_by = [];
+          }
+      in
+      let c_ix = run_q cat ~mode:`Compiled q in
+      let i_ix = run_q cat ~mode:`Interpreted q in
+      let c_seq = run_q cat ~mode:`Compiled ~force_seq:true q in
+      let i_seq = run_q cat ~mode:`Interpreted ~force_seq:true q in
+      seq_pair_agree c_seq i_seq
+      && indexed_sound ~seq:c_seq c_ix
+      && indexed_sound ~seq:c_seq i_ix
+      && (match (c_ix, i_ix) with Ok a, Ok b -> rows_equal a b | _ -> true))
+
 (* Mutations: run the same delete/replace through both engines on two
    identically-built catalogs; the surviving heaps must coincide. *)
 let mutation_differential =
@@ -301,7 +364,9 @@ let scalar_matches_eval =
 
 (* ------------------------------------------------------------------ *)
 (* Btree.range_merge vs one Btree.range per interval: identical visit
-   sequence on random trees and random disjoint interval lists. *)
+   sequence on random trees and random disjoint interval lists. Some keys
+   are not chronons (NULL valid times, a stray Int); neither path may
+   visit them. *)
 
 let range_merge_matches_range =
   QCheck2.Test.make ~name:"Btree.range_merge = per-interval Btree.range" ~count:500
@@ -311,11 +376,17 @@ let range_merge_matches_range =
         (String.concat ";" (List.map (fun (lo, w) -> Printf.sprintf "%d+%d" lo w) raw)))
     QCheck2.Gen.(
       pair
-        (list_size (int_range 0 60) (int_range 1 100))
-        (list_size (int_range 0 6) (pair (int_range 1 100) (int_range 0 10))))
+        (list_size (int_range 0 400) (int_range 1 300))
+        (list_size (int_range 0 12) (pair (int_range 1 300) (int_range 0 20))))
     (fun (keys, raw) ->
       let t = Btree.create () in
-      List.iteri (fun i k -> Btree.insert t (Value.Int k) i) keys;
+      List.iteri
+        (fun i k ->
+          let key =
+            match i mod 7 with 5 -> Value.Null | 6 -> Value.Int k | _ -> Value.Chronon k
+          in
+          Btree.insert t key i)
+        keys;
       let ivals =
         (* sorted and disjoint, as the executor hands them over *)
         let rec disj = function
@@ -328,15 +399,25 @@ let range_merge_matches_range =
       in
       let merged = ref [] in
       Btree.range_merge t
-        (Array.of_list (List.map (fun (a, b) -> (Value.Int a, Value.Int b)) ivals))
+        (Array.of_list (List.concat_map (fun (a, b) -> [ a; b ]) ivals))
         (fun k vals -> merged := (k, List.sort compare vals) :: !merged);
       let per = ref [] in
       List.iter
         (fun (a, b) ->
-          Btree.range t ~lo:(Value.Int a) ~hi:(Value.Int b) (fun k vals ->
+          Btree.range t ~lo:(Value.Chronon a) ~hi:(Value.Chronon b) (fun k vals ->
               per := (k, List.sort compare vals) :: !per))
         ivals;
       !merged = !per)
+
+(* Candidate ordering: short arrays take the insertion sort, longer ones
+   the radix sort, with rowids wide enough for several byte passes. *)
+let sort_rowids_matches =
+  QCheck2.Test.make ~name:"Exec.sort_rowids = List.sort_uniq" ~count:500
+    ~print:QCheck2.Print.(list int)
+    QCheck2.Gen.(
+      list_size (int_range 0 300)
+        (oneof [ int_range 0 40; int_range 0 70_000; int_range 0 (1 lsl 40); return max_int ]))
+    (fun l -> Exec.sort_rowids (Array.of_list l) = Array.of_list (List.sort_uniq Int.compare l))
 
 (* ------------------------------------------------------------------ *)
 (* Parameterization and the plan cache. *)
@@ -378,8 +459,8 @@ let () =
   Alcotest.run "cal_plan"
     [
       qsuite "engine-differential"
-        [ retrieve_differential; on_cal_differential; mutation_differential ];
+        [ retrieve_differential; on_cal_differential; on_cal_access_paths; mutation_differential ];
       qsuite "expression-oracle" [ scalar_matches_eval ];
-      qsuite "access-path" [ range_merge_matches_range ];
+      qsuite "access-path" [ range_merge_matches_range; sort_rowids_matches ];
       qsuite "plan-cache" [ parameterize_shares_skeleton; plan_cache_hit_on_new_constant ];
     ]

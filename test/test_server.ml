@@ -363,6 +363,13 @@ let test_error_containment () =
   (* Partial lines were discarded, nothing applied, server still up. *)
   let rows = request_exn setup "retrieve (t.n) from t" in
   check_int "torn requests never execute" 1 (List.length rows) (* header only *);
+  (* A request completed on a fresh connection proves the accept loop
+     reached it, and the listen backlog is FIFO: the ten torn connections
+     ahead of it were accepted (and counted) first. Checking the counter
+     without this races the accept thread. *)
+  let fresh = Client.connect (Server.addr server) in
+  ignore (request_exn fresh "retrieve (t.n) from t");
+  Client.close fresh;
   check_bool "accept loop survived" true (Server.connections server >= 11);
   Client.close setup
 
