@@ -333,26 +333,29 @@ let rec iter_node node f =
 let iter t f = iter_node t.root f
 
 (** [range t ?lo ?hi f] visits keys in [lo, hi] (inclusive, either side
-    optional) in ascending order. *)
+    optional) in ascending order, in O(log n + k) for [k] keys visited:
+    a binary search descends to [lo], and the in-order walk stops at the
+    first key above [hi] (so no child to its right is entered). *)
 let range t ?lo ?hi f =
-  let above k = match lo with None -> true | Some l -> Value.compare k l >= 0 in
   let below k = match hi with None -> true | Some h -> Value.compare k h <= 0 in
-  let rec go node =
-    if is_leaf node then begin
-      for i = 0 to node.nkeys - 1 do
-        if above node.keys.(i) && below node.keys.(i) then f node.keys.(i) node.vals.(i)
-      done
-    end
-    else begin
-      for i = 0 to node.nkeys - 1 do
-        (* Visit child i when it can contain keys in range. *)
-        if above node.keys.(i) then go node.children.(i);
-        if above node.keys.(i) && below node.keys.(i) then f node.keys.(i) node.vals.(i)
-      done;
-      if node.nkeys = 0 || below node.keys.(node.nkeys - 1) then go node.children.(node.nkeys)
-    end
+  (* Walks [node] from its first key >= [lo] when [seek] (keys of later
+     subtrees already are); [false] once a key above [hi] ended the walk. *)
+  let rec go ~seek node =
+    let leaf = is_leaf node in
+    let rec from i ~seek =
+      if (not leaf) && not (go ~seek node.children.(i)) then false
+      else if i = node.nkeys then true
+      else if below node.keys.(i) then begin
+        f node.keys.(i) node.vals.(i);
+        from (i + 1) ~seek:false
+      end
+      else false
+    in
+    match lo with
+    | Some l when seek -> from (lower_bound node l) ~seek:true
+    | _ -> from 0 ~seek:false
   in
-  go t.root
+  ignore (go ~seek:true t.root)
 
 (* [range_merge t segs f] sweeps several inclusive chronon ranges in one
    in-order traversal. [segs] is a flat [lo0; hi0; lo1; hi1; ...] array

@@ -31,7 +31,9 @@ val find : t -> Value.t -> int list
 val mem : t -> Value.t -> bool
 
 (** [range t ?lo ?hi f] visits keys in [lo, hi] (inclusive, either side
-    optional) in ascending order. *)
+    optional) in ascending order, in O(log n + k) for [k] keys visited:
+    it descends to [lo] by binary search and stops at the first key
+    above [hi]. *)
 val range : t -> ?lo:Value.t -> ?hi:Value.t -> (Value.t -> int list -> unit) -> unit
 
 (** [range_merge t segs f] visits, in one in-order sweep, every key

@@ -5,11 +5,16 @@
     up in the catalog's plan cache, and on a miss the where clause,
     targets and assignments are lowered once into closures with columns
     resolved to tuple offsets ({!Qcompile}). Access paths then rank every
-    sargable conjunct by estimated selectivity (B-tree key counts plus
-    key-space interpolation for ranges), intersect the candidate rowid
-    sets worth materializing via a sorted-array merge, and serve
-    [on <calendar>] clauses with a single {!Btree.range_merge} sweep over
-    the coalesced interval set instead of one probe per interval.
+    probe by estimated selectivity and intersect the candidate rowid sets
+    worth materializing via a sorted-array merge. A probe is an equality
+    ([Peq], estimated by its exact B-tree key count) or a [Prange] that
+    fuses all of a column's range conjuncts; it runs with the tightest
+    bound on each side as one bounded {!Btree.range} walk, and is
+    estimated by interpolating [max lo min_key, min hi max_key] over the
+    index's key span. [on <calendar>] clauses are served by a single
+    {!Btree.range_merge} sweep over the coalesced interval set, clipped to
+    the range of a [Prange] on the valid-time column, which then runs no
+    probe of its own.
 
     The original tree-walking interpreter survives as [`Interpreted] —
     the differential oracle for [test/test_plan.ml] and the baseline for
@@ -19,8 +24,8 @@
     index scans and sequential scans return identical rows.
 
     The residual [where] predicate is always re-applied after an index
-    probe, so inclusive-range probes (and skipped probes) over-approximate
-    safely. *)
+    probe, so inclusive-range probes, mixed-type bounds and skipped
+    probes over-approximate safely. *)
 
 type stats = {
   mutable scanned : int;  (** tuples touched *)
@@ -152,8 +157,9 @@ let index_candidates ~stats table where =
               stats.index_probes <- stats.index_probes + 1;
               (match op with
               | Qexpr.Eq -> Table.index_lookup table col v
-              | Qexpr.Lt | Qexpr.Le -> Table.index_range table col ~hi:v ()
-              | _ -> Table.index_range table col ~lo:v ())
+              | Qexpr.Lt | Qexpr.Le ->
+                Option.map Array.to_list (Table.index_range table col ~hi:v ())
+              | _ -> Option.map Array.to_list (Table.index_range table col ~lo:v ()))
             | _ -> None)
     | _ -> None
   in
@@ -181,7 +187,7 @@ let calendar_candidates ~stats table valid_col chronons =
              Table.index_range table valid_col ~lo:(Value.Chronon (Interval.lo iv))
                ~hi:(Value.Chronon (Interval.hi iv)) ()
            with
-           | Some rowids -> List.rev_append rowids acc
+           | Some rowids -> Array.fold_left (fun acc r -> r :: acc) acc rowids
            | None -> acc)
          [] chronons)
 
@@ -515,38 +521,54 @@ let key_float = function
   | Value.Chronon c -> Some (float_of_int (Chronon.to_offset c))
   | _ -> None
 
-(* Estimated result size of one probe. Equality probes are exact (the
-   B-tree's rowid list length); range probes interpolate the probe bound
-   over the index's [min_key, max_key] span scaled by rows-per-key.
-   Non-numeric key spaces pessimistically estimate the whole table. *)
-let estimate_probe tbl (p : Qplan.probe) v =
-  match Table.index tbl p.Qplan.pcol with
-  | None -> max_int
-  | Some idx -> (
-    match p.Qplan.pop with
-    | Qplan.Peq -> List.length (Btree.find idx v)
-    | Qplan.Ple | Qplan.Pge -> (
-      let nrows = Table.count tbl in
-      let card = Btree.cardinal idx in
-      if card = 0 then 0
-      else
-        match (Btree.min_key idx, Btree.max_key idx) with
-        | Some lo, Some hi -> (
-          match (key_float lo, key_float hi, key_float v) with
-          | Some l, Some h, Some x when h > l ->
-            let f =
-              match p.Qplan.pop with
-              | Qplan.Ple -> (x -. l) /. (h -. l)
-              | _ -> (h -. x) /. (h -. l)
-            in
-            let f = Float.min 1. (Float.max 0. f) in
-            int_of_float (Float.ceil (f *. float_of_int nrows))
-          | _ -> nrows)
-        | _ -> 0))
+(* Estimated result size of one probe over run-time bounds [lo, hi].
+   Equality probes are exact (the B-tree's rowid list length); a range
+   interpolates [max lo min_key, min hi max_key] over the index's
+   [min_key, max_key] span, scaled to the table's rows. Non-numeric key
+   spaces pessimistically estimate the whole table. *)
+let estimate_probe tbl (p : Qplan.probe) lo hi =
+  match (Table.index tbl p.Qplan.pcol, p.Qplan.pop, lo) with
+  | None, _, _ -> max_int
+  | Some idx, Qplan.Peq _, Some v -> List.length (Btree.find idx v)
+  | Some idx, _, _ -> (
+    let nrows = Table.count tbl in
+    match (Btree.min_key idx, Btree.max_key idx) with
+    | Some kmin, Some kmax -> (
+      let bound b k = key_float (Option.value b ~default:k) in
+      match (key_float kmin, key_float kmax, bound lo kmin, bound hi kmax) with
+      | Some kl, Some kh, Some l, Some h when kh > kl ->
+        let l = Float.max l kl and h = Float.min h kh in
+        if l > h then 0
+        else int_of_float (Float.ceil ((h -. l) /. (kh -. kl) *. float_of_int nrows))
+      | _ -> nrows)
+    | _ -> 0)
+
+(* A probe's run-time key range: [v, v] for an equality; for a range,
+   the tightest bound on each side, the greatest lower and the least
+   upper bound in [Value.compare] order. Plans keep every bound as an
+   operand (constants stay parameters, so the plan cache is unaffected)
+   and each run picks. *)
+let probe_bounds params (p : Qplan.probe) =
+  let tightest keep = function
+    | [] -> None
+    | e :: rest ->
+      Some
+        (List.fold_left
+           (fun best e ->
+             let v = Qplan.probe_value params e in
+             if keep (Value.compare v best) then v else best)
+           (Qplan.probe_value params e) rest)
+  in
+  match p.Qplan.pop with
+  | Qplan.Peq arg ->
+    let v = Qplan.probe_value params arg in
+    (Some v, Some v)
+  | Qplan.Prange { lo; hi } -> (tightest (fun c -> c > 0) lo, tightest (fun c -> c < 0) hi)
 
 (* Execute the sargable probes worth their cost: cheapest estimate first,
    each further probe only while its estimate undercuts the running
-   candidate set (skipping is sound — the residual where re-applies). *)
+   candidate set (skipping is sound — the residual where re-applies).
+   Every probe is one bounded B-tree walk. *)
 let run_probes ~stats tbl params (probes : Qplan.probe list) : int array option =
   match probes with
   | [] -> None
@@ -557,41 +579,87 @@ let run_probes ~stats tbl params (probes : Qplan.probe list) : int array option 
         (fun (a, _, _) (b, _, _) -> Int.compare a b)
         (List.map
            (fun (p : Qplan.probe) ->
-             let v = Qplan.probe_value params p.Qplan.parg in
-             (estimate_probe tbl p v, p, v))
+             let lo, hi = probe_bounds params p in
+             (estimate_probe tbl p lo hi, p, (lo, hi)))
            probes)
     in
-    let exec_probe (p : Qplan.probe) v =
+    let exec_probe (p : Qplan.probe) (lo, hi) =
       stats.index_probes <- stats.index_probes + 1;
-      let rowids =
-        match p.Qplan.pop with
-        | Qplan.Peq -> Table.index_lookup tbl p.Qplan.pcol v
-        | Qplan.Ple -> Table.index_range tbl p.Qplan.pcol ~hi:v ()
-        | Qplan.Pge -> Table.index_range tbl p.Qplan.pcol ~lo:v ()
-      in
-      sort_rowids (Array.of_list (Option.value ~default:[] rowids))
+      match Table.index_range tbl p.Qplan.pcol ?lo ?hi () with
+      | Some rowids -> sort_rowids rowids
+      | None -> [||]
     in
     match ranked with
-    | (best, p0, v0) :: rest when best < nrows || p0.Qplan.pop = Qplan.Peq ->
-      let acc = ref (exec_probe p0 v0) in
+    | (best, p0, b0) :: rest
+      when best < nrows || (match p0.Qplan.pop with Qplan.Peq _ -> true | _ -> false) ->
+      let acc = ref (exec_probe p0 b0) in
       List.iter
-        (fun (est, p, v) ->
+        (fun (est, p, b) ->
           if Array.length !acc > 0 && est < Array.length !acc then
-            acc := inter_sorted !acc (exec_probe p v))
+            acc := inter_sorted !acc (exec_probe p b))
         rest;
       Some !acc
     | _ ->
       (* Even the cheapest probe would touch everything: scan instead. *)
       None)
 
+(* [segs] (sorted, disjoint, flat [lo0; hi0; ...] chronon ranges) cut
+   down to [lo, hi]. *)
+let clip_segments segs lo hi =
+  let n = Array.length segs / 2 in
+  (* first range ending at or after [lo] *)
+  let a = ref 0 and b = ref n in
+  while !a < !b do
+    let m = (!a + !b) / 2 in
+    if segs.((2 * m) + 1) < lo then a := m + 1 else b := m
+  done;
+  let last = ref !a in
+  while !last < n && segs.(2 * !last) <= hi do
+    incr last
+  done;
+  let k = !last - !a in
+  if lo > hi || k = 0 then [||]
+  else begin
+    let out = Array.sub segs (2 * !a) (2 * k) in
+    out.(0) <- max out.(0) lo;
+    out.((2 * k) - 1) <- min out.((2 * k) - 1) hi;
+    out
+  end
+
+(* A range bound as a chronon for a sweep that only yields chronon keys:
+   a bound of a type ranked below chronons (NULL, numbers) admits every
+   chronon, one ranked above admits none. *)
+let chronon_bound ~default = function
+  | None -> default
+  | Some (Value.Chronon c) -> c
+  | Some v -> if Value.compare v (Value.Chronon 0) < 0 then min_int else max_int
+
 (* The whole on-calendar clause in one merged B-tree sweep over the
    set's coalesced segments (shared with the resolved-day memo, so a warm
-   calendar is neither re-coalesced nor copied). *)
-let merged_calendar_candidates ~stats tbl col set =
-  if not (Table.has_index tbl col) then None
+   calendar is neither re-coalesced nor copied). A range probe on the
+   valid-time column clips the segments instead of running on its own,
+   so [where day between ... on <cal>] stays one sweep; the remaining
+   probes are returned for the caller to run. *)
+let merged_calendar_candidates ~stats tbl params col set probes =
+  if not (Table.has_index tbl col) then (None, probes)
   else begin
     stats.index_probes <- stats.index_probes + 1;
-    Option.map sort_rowids (Table.index_merge tbl col (Interval_set.segments set))
+    let clip, rest =
+      List.partition
+        (fun (p : Qplan.probe) ->
+          p.Qplan.pcol = col && match p.Qplan.pop with Qplan.Prange _ -> true | _ -> false)
+        probes
+    in
+    let segs =
+      List.fold_left
+        (fun segs (p : Qplan.probe) ->
+          let lo, hi = probe_bounds params p in
+          clip_segments segs
+            (chronon_bound ~default:min_int lo)
+            (chronon_bound ~default:max_int hi))
+        (Interval_set.segments set) clip
+    in
+    (Option.map sort_rowids (Table.index_merge tbl col segs), rest)
   end
 
 (* Sequential scans over at least this many row slots are eligible for
@@ -626,11 +694,13 @@ let scan_rowids catalog ~stats ~force_seq ~domains ~params ~outer_env (scan : Qp
   let from_where, from_cal =
     if force_seq then (None, None)
     else
-      let from_where = run_probes ~stats tbl params scan.Qplan.sprobes in
-      ( from_where,
+      let from_cal, probes =
         match (chronons, scan.Qplan.svalid_col) with
-        | Some set, Some col -> merged_calendar_candidates ~stats tbl col set
-        | _ -> None )
+        | Some set, Some col ->
+          merged_calendar_candidates ~stats tbl params col set scan.Qplan.sprobes
+        | _ -> (None, scan.Qplan.sprobes)
+      in
+      (run_probes ~stats tbl params probes, from_cal)
   in
   let candidates =
     match (from_where, from_cal) with

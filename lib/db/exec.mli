@@ -1,7 +1,7 @@
 (** Query execution as a compile-then-execute pipeline: plans are
     prepared through {!Qplan} (parameterized-AST plan cache, compiled
-    predicates, all-sargable-conjunct access-path selection, merged
-    on-calendar sweeps); the original tree-walking interpreter survives
+    predicates, equality and fused-range probes ranked by estimate,
+    merged on-calendar sweeps); the original tree-walking interpreter survives
     as [`Interpreted], the differential oracle.
 
     The residual [where] predicate is always re-applied after an index

@@ -71,13 +71,15 @@ let probe_value params = function
 
 (* --- plan structure ------------------------------------------------ *)
 
-type probe_op = Peq | Ple | Pge
+type probe_op =
+  | Peq of Qexpr.t
+  | Prange of { lo : Qexpr.t list; hi : Qexpr.t list }
+      (** all of one column's range bounds; [Lt]/[Gt] widen to the
+          inclusive form and the residual where re-applies them *)
 
 type probe = {
   pcol : string;  (** unqualified column name, indexed at plan time *)
-  pop : probe_op;  (** [Lt]/[Gt] widen to the inclusive form; the residual
-                       where re-applies the strict bound *)
-  parg : Qexpr.t;  (** [Const _] or [Param _] *)
+  pop : probe_op;
 }
 
 type scan = {
@@ -147,31 +149,23 @@ let own_column table name =
     else None
   | None -> Some name
 
-(* Every sargable conjunct: [col op operand] over an indexed column, in
-   either orientation. Unlike the old single-probe selection, all of them
-   are collected; the executor ranks them by estimated selectivity and
-   intersects the candidate sets it decides to materialize. *)
+(* The sargable conjuncts, [col op operand] over an indexed column in
+   either orientation: one [Peq] per equality, and every range conjunct
+   on a column fused into that column's single [Prange]. The executor
+   ranks the probes by estimated selectivity and intersects the candidate
+   sets it decides to materialize. *)
 let probes_of table where =
   let sargable e =
+    let side ~flip = function
+      | Qexpr.Eq -> Some `Eq
+      | Qexpr.Gt | Qexpr.Ge -> Some (if flip then `Hi else `Lo)
+      | Qexpr.Lt | Qexpr.Le -> Some (if flip then `Lo else `Hi)
+      | _ -> None
+    in
     let mk ~flip op c arg =
-      Option.bind (own_column table c) (fun col ->
-          if not (Table.has_index table col) then None
-          else
-            let op =
-              if not flip then op
-              else
-                match op with
-                | Qexpr.Lt -> Qexpr.Gt
-                | Qexpr.Le -> Qexpr.Ge
-                | Qexpr.Gt -> Qexpr.Lt
-                | Qexpr.Ge -> Qexpr.Le
-                | other -> other
-            in
-            match op with
-            | Qexpr.Eq -> Some { pcol = col; pop = Peq; parg = arg }
-            | Qexpr.Lt | Qexpr.Le -> Some { pcol = col; pop = Ple; parg = arg }
-            | Qexpr.Gt | Qexpr.Ge -> Some { pcol = col; pop = Pge; parg = arg }
-            | _ -> None)
+      Option.bind (side ~flip op) (fun side ->
+          Option.bind (own_column table c) (fun col ->
+              if Table.has_index table col then Some (col, side, arg) else None))
     in
     match e with
     | Qexpr.Binop (op, Qexpr.Col c, ((Qexpr.Const _ | Qexpr.Param _) as arg)) ->
@@ -180,9 +174,21 @@ let probes_of table where =
       mk ~flip:true op c arg
     | _ -> None
   in
-  match where with
-  | None -> []
-  | Some where -> List.filter_map sargable (Qexpr.conjuncts where)
+  let conj =
+    match where with
+    | None -> []
+    | Some where -> List.filter_map sargable (Qexpr.conjuncts where)
+  in
+  let bounds col side =
+    List.filter_map (fun (c, s, arg) -> if c = col && s = side then Some arg else None) conj
+  in
+  List.filter_map
+    (fun (col, s, arg) -> if s = `Eq then Some { pcol = col; pop = Peq arg } else None)
+    conj
+  @ List.map
+      (fun col -> { pcol = col; pop = Prange { lo = bounds col `Lo; hi = bounds col `Hi } })
+      (List.sort_uniq String.compare
+         (List.filter_map (fun (col, s, _) -> if s = `Eq then None else Some col) conj))
 
 let build_scan env tbl where on_cal =
   let svalid_ix, svalid_col =

@@ -16,19 +16,26 @@ val parameterize_query : Qast.query -> (Qast.query * Value.t array) option
 (** Resolve a [Const]-or-[Param] plan operand. @raise Plan_error *)
 val probe_value : Value.t array -> Qexpr.t -> Value.t
 
-type probe_op = Peq | Ple | Pge
+(** Operands are [Const _] or [Param _]. *)
+type probe_op =
+  | Peq of Qexpr.t
+  | Prange of { lo : Qexpr.t list; hi : Qexpr.t list }
+      (** every lower / upper bound of the column's [<], [<=], [>], [>=]
+          conjuncts, each side possibly empty (unbounded); strict bounds
+          widen to the inclusive form and the residual where re-applies
+          them *)
 
 type probe = {
   pcol : string;  (** unqualified column name, indexed at plan time *)
-  pop : probe_op;  (** strict bounds widen to the inclusive form; the
-                       residual where re-applies them *)
-  parg : Qexpr.t;  (** [Const _] or [Param _] *)
+  pop : probe_op;
 }
 
 type scan = {
   stable : Table.t;
   swhere : Qcompile.code option;  (** full residual predicate *)
-  sprobes : probe list;  (** every sargable conjunct *)
+  sprobes : probe list;
+      (** one [Peq] per equality conjunct, one [Prange] per column with
+          range conjuncts *)
   scal : string option;  (** [on <calendar>] source text *)
   svalid_ix : int option;  (** tuple offset of the valid-time column *)
   svalid_col : string option;

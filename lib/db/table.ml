@@ -103,25 +103,22 @@ let index_lookup t col key =
   | None -> None
   | Some idx -> Some (Btree.find idx key)
 
-(** Row ids with [lo <= col <= hi], via the index, unordered. *)
+(* Row ids under every key a [sweep] visits, unordered. *)
+let collect sweep =
+  let groups = ref [] and n = ref 0 in
+  sweep (fun _ rowids ->
+      groups := rowids :: !groups;
+      n := !n + List.length rowids);
+  let out = Array.make !n 0 and i = ref 0 in
+  List.iter (List.iter (fun r -> out.(!i) <- r; incr i)) !groups;
+  out
+
+(** Row ids with [lo <= col <= hi], via one bounded index walk,
+    unordered. *)
 let index_range t col ?lo ?hi () =
-  match index t col with
-  | None -> None
-  | Some idx ->
-    let acc = ref [] in
-    Btree.range idx ?lo ?hi (fun _ rowids -> acc := List.rev_append rowids !acc);
-    Some !acc
+  Option.map (fun idx -> collect (Btree.range idx ?lo ?hi)) (index t col)
 
 (** Row ids with [col] in any of the sorted disjoint inclusive ranges,
     via one merged index sweep, unordered. *)
 let index_merge t col segs =
-  match index t col with
-  | None -> None
-  | Some idx ->
-    let groups = ref [] and n = ref 0 in
-    Btree.range_merge idx segs (fun _ rowids ->
-        groups := rowids :: !groups;
-        n := !n + List.length rowids);
-    let out = Array.make !n 0 and i = ref 0 in
-    List.iter (List.iter (fun r -> out.(!i) <- r; incr i)) !groups;
-    Some out
+  Option.map (fun idx -> collect (Btree.range_merge idx segs)) (index t col)

@@ -56,8 +56,9 @@ val index : t -> string -> Btree.t option
 (** Row ids with [col = key], via the index ([None] when unindexed). *)
 val index_lookup : t -> string -> Value.t -> int list option
 
-(** Row ids with [lo <= col <= hi], via the index, unordered. *)
-val index_range : t -> string -> ?lo:Value.t -> ?hi:Value.t -> unit -> int list option
+(** Row ids, unordered, with [lo <= col <= hi] (either side optional),
+    via one bounded {!Btree.range} walk ([None] when unindexed). *)
+val index_range : t -> string -> ?lo:Value.t -> ?hi:Value.t -> unit -> int array option
 
 (** Row ids, unordered, with [col] a chronon in any of the ranges of a
     coalesced {!Interval_set.segments} array, via a single

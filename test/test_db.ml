@@ -134,6 +134,76 @@ let prop_btree_range_model =
       in
       List.sort Int.compare got = expected)
 
+(* [range] on trees of three or more levels. A node holds at most 31
+   keys, so two levels hold at most 31 + 32 * 31 = 1023 keys; every tree
+   here keeps more than that after its removes. Removes interleave with
+   inserts (every fourth step drops a random present key), so the tree
+   has been rebalanced, not only split. Keys are even, so odd bounds are
+   absent from the tree; some keys carry two row ids. Bounds may be
+   absent on either side, fall outside the key span, or cross (lo > hi,
+   an empty range). *)
+let prop_btree_range_deep =
+  QCheck2.Test.make ~name:"btree range on deep trees matches filtered model" ~count:40
+    ~print:(fun (n, seed, qs) ->
+      let b = function None -> "-" | Some x -> string_of_int x in
+      Printf.sprintf "%d keys, seed %d; ranges %s" n seed
+        (String.concat " " (List.map (fun (lo, hi) -> Printf.sprintf "[%s,%s]" (b lo) (b hi)) qs)))
+    QCheck2.Gen.(
+      triple (int_range 1400 4000) int
+        (list_size (int_range 1 25)
+           (pair (opt (int_range (-10) 8010)) (opt (int_range (-10) 8010)))))
+    (fun (n, seed, qs) ->
+      let rng = Random.State.make [| seed |] in
+      let order = Array.init n (fun i -> 2 * i) in
+      for i = n - 1 downto 1 do
+        let j = Random.State.int rng (i + 1) in
+        let x = order.(i) in
+        order.(i) <- order.(j);
+        order.(j) <- x
+      done;
+      let t = Btree.create () in
+      let model = Hashtbl.create n in
+      let present = Array.make n 0 and npresent = ref 0 in
+      Array.iteri
+        (fun i k ->
+          let rowids = if k mod 10 = 0 then [ k; k + 1 ] else [ k ] in
+          List.iter (Btree.insert t (Value.Int k)) rowids;
+          Hashtbl.replace model k rowids;
+          present.(!npresent) <- k;
+          incr npresent;
+          if i mod 4 = 3 then begin
+            let j = Random.State.int rng !npresent in
+            let victim = present.(j) in
+            present.(j) <- present.(!npresent - 1);
+            decr npresent;
+            List.iter
+              (fun r -> ignore (Btree.remove t (Value.Int victim) r))
+              (Hashtbl.find model victim);
+            Hashtbl.remove model victim
+          end)
+        order;
+      Btree.check_invariants t;
+      let sorted_model =
+        List.sort compare
+          (Hashtbl.fold (fun k rowids acc -> (k, List.sort compare rowids) :: acc) model [])
+      in
+      Btree.cardinal t > 1023
+      && List.for_all
+           (fun (lo, hi) ->
+             let got = ref [] in
+             Btree.range t
+               ?lo:(Option.map (fun x -> Value.Int x) lo)
+               ?hi:(Option.map (fun x -> Value.Int x) hi)
+               (fun k rowids ->
+                 let k = match k with Value.Int i -> i | _ -> -1 in
+                 got := (k, List.sort compare rowids) :: !got);
+             let inside (k, _) =
+               Option.fold ~none:true ~some:(fun l -> k >= l) lo
+               && Option.fold ~none:true ~some:(fun h -> k <= h) hi
+             in
+             List.rev !got = List.filter inside sorted_model)
+           qs)
+
 (* ------------------------------------------------------------------ *)
 (* Schema and table *)
 
@@ -313,6 +383,52 @@ let test_exec_on_clause () =
   match Exec.run_string cat "retrieve (a) from plain on \"X\"" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected error for missing valid-time column"
+
+(* Range conjuncts on one indexed column fuse into one bounded index
+   walk that touches only the rows inside the range, whatever the
+   orientation, strictness or number of bounds; with an on-clause over
+   the same valid-time column the range clips the calendar sweep instead
+   of probing on its own. *)
+let test_exec_fused_range () =
+  let cat, run = setup_db () in
+  for d = 32 to 2000 do
+    ignore (run (Printf.sprintf "append stock (day = @%d, sym = 'IBM', price = 1.5)" d))
+  done;
+  ignore (run "create index on stock (day)");
+  Catalog.set_calendar_resolver cat (fun _ ->
+      Interval_set.of_pairs (List.init 1000 (fun i -> (2 * (i + 1), 2 * (i + 1)))));
+  let probe q =
+    let stats = Exec.fresh_stats () in
+    match Exec.run_string cat ~stats q with
+    | Ok (Exec.Rows { rows; _ }) ->
+      (List.map (fun row -> match row.(0) with Value.Chronon c -> c | _ -> -1) rows, stats)
+    | Ok _ -> Alcotest.failf "expected rows: %s" q
+    | Error e -> Alcotest.failf "query failed: %s (%s)" e q
+  in
+  let expect label q ~days ~scanned =
+    let got, s = probe q in
+    Alcotest.(check (list int)) (label ^ ": rows") days got;
+    check_int (label ^ ": one index probe") 1 s.Exec.index_probes;
+    check_int (label ^ ": tuples touched") scanned s.Exec.scanned
+  in
+  expect "closed range" "retrieve (day) from stock where day >= @500 and day <= @502"
+    ~days:[ 500; 501; 502 ] ~scanned:3;
+  (* the tighter lower bound wins; strict bounds widen to an inclusive
+     probe [499, 503] and the residual drops its ends *)
+  expect "flipped, strict, two lower bounds"
+    "retrieve (day) from stock where @499 < day and day >= @498 and day < @503"
+    ~days:[ 500; 501; 502 ] ~scanned:5;
+  expect "two upper bounds" "retrieve (day) from stock where day <= @52 and day <= @51"
+    ~days:(List.init 51 (fun i -> i + 1)) ~scanned:51;
+  expect "inverted" "retrieve (day) from stock where day >= @600 and day <= @599" ~days:[]
+    ~scanned:0;
+  expect "clipped calendar sweep"
+    "retrieve (day) from stock where day >= @500 and day <= @510 on \"EVEN\""
+    ~days:[ 500; 502; 504; 506; 508; 510 ] ~scanned:6;
+  (* an Int bound sorts below every chronon: it admits them all *)
+  expect "clip by a chronon only"
+    "retrieve (day) from stock where day >= 3 and day <= @6 on \"EVEN\""
+    ~days:[ 2; 4; 6 ] ~scanned:3
 
 (* Conjunct flattening feeds access-path selection: every sargable
    conjunct must surface no matter how the parser nested the [and]s. *)
@@ -514,6 +630,7 @@ let () =
           Alcotest.test_case "index selection" `Quick test_exec_index_selection;
           Alcotest.test_case "conjunct flattening" `Quick test_conjuncts_flatten;
           Alcotest.test_case "selectivity ranking" `Quick test_exec_selectivity;
+          Alcotest.test_case "fused range probe" `Quick test_exec_fused_range;
           Alcotest.test_case "plan cache" `Quick test_plan_cache;
           Alcotest.test_case "valid-time on-clause" `Quick test_exec_on_clause;
           Alcotest.test_case "group by" `Quick test_exec_group_by;
@@ -521,6 +638,6 @@ let () =
           Alcotest.test_case "rule passthrough" `Quick test_exec_rule_passthrough;
           Alcotest.test_case "errors" `Quick test_exec_errors;
         ] );
-      qsuite "btree-props" [ prop_btree_model; prop_btree_range_model ];
+      qsuite "btree-props" [ prop_btree_model; prop_btree_range_model; prop_btree_range_deep ];
       qsuite "dump-props" [ prop_dump_value_roundtrip ];
     ]

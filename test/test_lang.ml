@@ -519,11 +519,24 @@ let test_caloperate_planned_eq_naive () =
   let planned, _ = Interp.eval_expr_planned ctx e in
   check_cal "two-month groups agree" naive planned
 
-(* Random expressions: planned and naive evaluation agree. *)
+(* Random expressions: planned and naive evaluation agree.
+
+   [lhs:op:rhs] keeps, for every interval of [rhs], the members of [lhs]
+   in relation with it. Every interval the generator can produce comes
+   from an atom and is at most a month long, so overlaps/during keep at
+   most 31 members of an atom per interval, while before/<= may keep all
+   of them: nested ordering foreachs multiply, and an unbounded product
+   (DAYS:<=:MONTHS.<.DAYS:<=:DAYS is about 10^9 intervals) exhausts
+   memory. The generator carries an upper bound on the intervals each
+   expression yields and draws a foreach's left operand only from atoms
+   that keep it within [max_intervals]; when none does, that level is
+   left out. *)
 let closed_expr_gen =
   let open QCheck2.Gen in
-  let ident = oneofl [ "DAYS"; "WEEKS"; "MONTHS"; "HOLIDAYS" ] in
-  let atom = map (fun n -> Ast.Ident n) ident in
+  (* members of each atom over the two-year lifespan *)
+  let atoms = [ ("DAYS", 730); ("WEEKS", 106); ("MONTHS", 24); ("HOLIDAYS", 3) ] in
+  let max_intervals = 4_000_000 in
+  let atom = map (fun (n, size) -> (Ast.Ident n, size)) (oneofl atoms) in
   let op = oneofl [ Listop.Overlaps; Listop.During; Listop.Before; Listop.Le ] in
   let sel =
     oneof
@@ -532,21 +545,30 @@ let closed_expr_gen =
         return (Ast.Index [ Ast.Last ]);
       ]
   in
-  fix
-    (fun self depth ->
-      if depth = 0 then atom
-      else
-        frequency
-          [
-            (2, atom);
-            (2, map2 (fun s e -> Ast.Select (s, e)) sel (self (depth - 1)));
-            ( 3,
-              map2
-                (fun (strict, op) (lhs, rhs) -> Ast.Foreach { strict; op; lhs; rhs })
-                (pair bool op)
-                (pair atom (self (depth - 1))) );
-          ])
-    3
+  let foreach (rhs, n) =
+    let* strict, op = pair bool op in
+    let size (_, members) =
+      match op with Listop.Before | Listop.Le -> members * n | _ -> min members 31 * n
+    in
+    match List.filter (fun a -> size a <= max_intervals) atoms with
+    | [] -> return (rhs, n)
+    | fits ->
+      map
+        (fun ((name, _) as a) -> (Ast.Foreach { strict; op; lhs = Ast.Ident name; rhs }, size a))
+        (oneofl fits)
+  in
+  map fst
+  @@ fix
+       (fun self depth ->
+         if depth = 0 then atom
+         else
+           frequency
+             [
+               (2, atom);
+               (2, map2 (fun s (e, n) -> (Ast.Select (s, e), n)) sel (self (depth - 1)));
+               (3, self (depth - 1) >>= foreach);
+             ])
+       3
 
 let prop_planned_eq_naive =
   QCheck2.Test.make ~name:"planned = naive on closed expressions" ~count:150

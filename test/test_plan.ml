@@ -77,6 +77,44 @@ let sargable_gen =
            map (fun c -> Value.Chronon c) (int_range 1 60);
          ]))
 
+(* Two-sided ranges on one indexed column, which the planner fuses into
+   one probe: two to four bound conjuncts on the same column in either
+   orientation ([Const op Col] too), strict and inclusive, often two
+   bounds on one side and often inverted (empty). Bounds are mostly of the
+   column's own type, sometimes the other one (Int and Chronon mixed on
+   one column), and reach past the stored values on both sides. *)
+let range_gen =
+  QCheck2.Gen.(
+    let* col = oneofl [ "k"; "d"; "t.k"; "t.d" ] in
+    let ints = map (fun i -> Value.Int i) (int_range (-5) 11)
+    and chronons = map (fun c -> Value.Chronon c) (int_range (-10) 62) in
+    let value =
+      if col = "k" || col = "t.k" then frequency [ (4, ints); (1, chronons) ]
+      else frequency [ (4, chronons); (1, ints) ]
+    in
+    let bound ops =
+      map3
+        (fun flip op v ->
+          if not flip then Qexpr.Binop (op, Qexpr.Col col, Qexpr.Const v)
+          else
+            let op =
+              match op with
+              | Qexpr.Lt -> Qexpr.Gt
+              | Qexpr.Le -> Qexpr.Ge
+              | Qexpr.Gt -> Qexpr.Lt
+              | _ -> Qexpr.Le
+            in
+            Qexpr.Binop (op, Qexpr.Const v, Qexpr.Col col))
+        bool (oneofl ops) value
+    in
+    let* lows = list_size (int_range 1 2) (bound [ Qexpr.Gt; Qexpr.Ge ]) in
+    let* highs = list_size (int_range 1 2) (bound [ Qexpr.Lt; Qexpr.Le ]) in
+    map
+      (function
+        | e :: rest -> List.fold_left (fun acc e -> Qexpr.Binop (Qexpr.And, acc, e)) e rest
+        | [] -> assert false)
+      (shuffle_l (lows @ highs)))
+
 let expr_gen =
   QCheck2.Gen.(
     sized_size (int_range 0 4)
@@ -99,8 +137,9 @@ let expr_gen =
                  map (fun e -> Qexpr.Neg e) (self (n - 1));
                ]))
 
-(* Where clauses are and-spines mixing sargable conjuncts with arbitrary
-   residuals, so multi-probe intersection runs against a real filter. *)
+(* Where clauses are and-spines mixing sargable conjuncts and fused
+   ranges with arbitrary residuals, so multi-probe intersection runs
+   against a real filter. *)
 let where_gen =
   QCheck2.Gen.(
     map
@@ -108,7 +147,7 @@ let where_gen =
         | [] -> None
         | e :: rest ->
           Some (List.fold_left (fun acc e -> Qexpr.Binop (Qexpr.And, acc, e)) e rest))
-      (list_size (int_range 0 3) (oneof [ sargable_gen; expr_gen ])))
+      (list_size (int_range 0 3) (oneof [ sargable_gen; range_gen; expr_gen ])))
 
 let print_where = function Some e -> Qexpr.to_string e | None -> "<none>"
 
@@ -234,7 +273,7 @@ let access_row_gen =
 
 let on_cal_access_paths =
   QCheck2.Test.make ~name:"on-calendar access paths: compiled = forced seq = interpreted"
-    ~count:300
+    ~count:600
     ~print:(fun ((rows, ix_k, ix_d), (raw, where)) ->
       Printf.sprintf "%d rows (%d NULL); index k %b d %b; cal %s; where %s" (List.length rows)
         (List.length (List.filter (fun (_, _, d, _) -> d = None) rows))
